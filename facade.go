@@ -165,9 +165,10 @@ type Plan struct {
 	// cost; 1 means as good as knowing the duration in advance.
 	NormalizedCost float64
 
-	model CostModel
-	dist  Distribution
-	seq   *core.Sequence
+	model   CostModel
+	dist    Distribution
+	seq     *core.Sequence
+	workers int // Options.Workers: Simulate's fan-out bound
 }
 
 // MakePlan computes a reservation plan using the named strategy.
@@ -213,6 +214,7 @@ func newPlan(m CostModel, d Distribution, strategyName string, opts Options, seq
 		model:          m,
 		dist:           d,
 		seq:            seq,
+		workers:        opts.Workers,
 	}, nil
 }
 
@@ -263,9 +265,10 @@ func (p *Plan) CostFor(t float64) (cost float64, attempts int, err error) {
 
 // Simulate estimates the plan's expected cost over n sampled jobs (the
 // paper's Monte-Carlo protocol) and returns the normalized estimate and
-// its standard error.
+// its standard error. It fans out as far as the Options.Workers the
+// plan was built with allows.
 func (p *Plan) Simulate(n int, seed uint64) (normalized, stderr float64, err error) {
-	est, err := simulate.NormalizedCostOnSamples(p.model, p.dist, p.seq.Clone(), simulate.Samples(p.dist, n, seed), 0)
+	est, err := simulate.NormalizedCostOnSamples(p.model, p.dist, p.seq.Clone(), simulate.Samples(p.dist, n, seed), p.workers)
 	if err != nil {
 		return math.NaN(), math.NaN(), err
 	}

@@ -260,6 +260,18 @@ const (
 // eventBatch is the recorder batch slab size (calendar engine only).
 const eventBatch = 1024
 
+// queued is one run-queue record: the job's arrival index with its
+// width and current reservation copied in at enqueue, so the
+// scheduling passes read one contiguous slice instead of the job and
+// state chunks. req cannot go stale while the job waits: the attempt
+// only advances while the job runs, and every kill or preemption
+// re-enqueues it.
+type queued struct {
+	job   int32
+	width int32
+	req   float64
+}
+
 // sim is the event-loop state.
 type sim struct {
 	cfg      *Config
@@ -284,10 +296,14 @@ type sim struct {
 	next      int    // arrival cursor
 	freeTotal int
 	terminal  int
-	minWidth  int // smallest width among arrived jobs (scan fast path)
 
-	queue []int32
+	queue []queued // the run queue, a window of qBuf
+	qBuf  []queued
 	held  [][]int32
+	// qWidth[w] counts the queued jobs of width w; qMin is at most the
+	// narrowest queued width, advanced lazily by narrowestQueued.
+	qWidth []int32
+	qMin   int
 
 	// scratch reused across scheduling passes
 	runScratch []finishEvent
@@ -391,8 +407,9 @@ func newSim(cfg *Config, nJobs int) *sim {
 		ledger:    NewLedger(cfg.Model, tenants),
 		pool:      newNodePool(cfg.Nodes),
 		freeTotal: cfg.Capacity(),
-		minWidth:  math.MaxInt,
 		held:      make([][]int32, len(tenants)),
+		qWidth:    make([]int32, cfg.Capacity()+1),
+		qMin:      cfg.Capacity() + 1,
 	}
 	s.ec.init(cfg.Engine)
 	if s.rec != nil && cfg.Engine != EngineHeap {
@@ -588,9 +605,6 @@ func (s *sim) flushBatch() {
 
 // arrive processes one arrival: announce it, then submit attempt 0.
 func (s *sim) arrive(j int32) {
-	if w := s.job(j).Width; w < s.minWidth {
-		s.minWidth = w
-	}
 	s.emit(EvArrive, j, -1, float64(s.job(j).Width), 0, false)
 	s.submitAttempt(j)
 }
@@ -629,23 +643,60 @@ func (s *sim) submitAttempt(j int32) {
 	}
 	s.emit(EvAdmit, j, -1, req, need, false)
 	st.phase = phQueued
-	s.queue = append(s.queue, j)
+	s.enqueue(j, job.Width, req)
 }
 
-// start launches the job's current attempt at the current instant.
-func (s *sim) start(j int32, backfilled bool) {
-	job := s.job(j)
+// enqueue appends a job's current attempt to the run queue and counts
+// it in the queued-width index.
+func (s *sim) enqueue(j int32, width int, req float64) {
+	if len(s.queue) == cap(s.queue) {
+		s.growQueue()
+	}
+	s.queue = append(s.queue, queued{job: j, width: int32(width), req: req})
+	s.qWidth[width]++
+	if width < s.qMin {
+		s.qMin = width
+	}
+}
+
+// growQueue makes room for one more record at the queue's end. Starts
+// take records from the front, so the queue's end reaches the end of
+// its buffer while the front of the buffer lies free: the records
+// slide back to the front while they fill less than half the buffer,
+// and the buffer doubles otherwise. Steady state allocates nothing.
+func (s *sim) growQueue() {
+	if 2*len(s.queue) >= cap(s.qBuf) {
+		s.qBuf = make([]queued, 2*len(s.queue)+64)
+	}
+	s.queue = s.qBuf[:copy(s.qBuf, s.queue)]
+}
+
+// narrowestQueued returns the narrowest width in the run queue, or
+// capacity+1 when it is empty.
+//
+//repro:hotpath
+func (s *sim) narrowestQueued() int {
+	for s.qMin < len(s.qWidth) && s.qWidth[s.qMin] == 0 {
+		s.qMin++
+	}
+	return s.qMin
+}
+
+// start launches a queued attempt at the current instant; the caller
+// removes its record from the queue.
+func (s *sim) start(q queued, backfilled bool) {
+	j := q.job
 	st := s.state(j)
-	req := job.Policy[st.attempt]
 	st.wait += s.now - st.submit
 	st.start = s.now
-	st.end = s.now + math.Min(job.Actual, req)
+	st.end = s.now + math.Min(s.job(j).Actual, q.req)
 	st.phase = phRunning
 	st.started = true
 	st.backfill = backfilled
-	s.emit(EvStart, j, -1, float64(job.Width), 0, backfilled)
-	s.freeTotal -= job.Width
-	st.allocHead = s.pool.alloc(int32(job.Width))
+	s.emit(EvStart, j, -1, float64(q.width), 0, backfilled)
+	s.freeTotal -= int(q.width)
+	s.qWidth[q.width]--
+	st.allocHead = s.pool.alloc(q.width)
 	for e := st.allocHead; e >= 0; e = s.pool.arena[e].next {
 		node := s.pool.arena[e].node
 		if s.cfg.oversubscribeNodeZero {
@@ -770,11 +821,12 @@ func (s *sim) releaseHeld(tenant int) {
 			break
 		}
 		q = q[1:]
+		job := s.job(j)
 		st := s.state(j)
 		st.committed = true
 		st.phase = phQueued
-		s.emit(EvRelease, j, -1, float64(s.job(j).Width), 0, false)
-		s.queue = append(s.queue, j)
+		s.emit(EvRelease, j, -1, float64(job.Width), 0, false)
+		s.enqueue(j, job.Width, job.Policy[st.attempt])
 	}
 	s.held[tenant] = q
 }
@@ -793,68 +845,85 @@ func (s *sim) schedule() {
 }
 
 // scheduleFCFS mirrors queuesim's scheduler exactly: start the head
-// while it fits; otherwise (EASY only) compute the head's shadow time
-// and backfill later jobs that either end by it or fit into the spare
-// nodes the head will not need.
+// while it fits; otherwise (EASY only) run the backfill pass behind it.
 func (s *sim) scheduleFCFS() {
 	for len(s.queue) > 0 {
 		head := s.queue[0]
-		if s.job(head).Width <= s.freeTotal {
+		if int(head.width) <= s.freeTotal {
 			s.queue = s.queue[1:]
 			s.start(head, false)
 			continue
 		}
-		if s.cfg.Backfill != BackfillEASY {
-			return
+		if s.cfg.Backfill == BackfillEASY {
+			s.backfillEASY()
 		}
-		if s.cfg.Engine != EngineHeap && s.freeTotal < s.minWidth {
-			// No arrived job is narrow enough to start now, so the
-			// backfill scan below cannot start anything and keeps the
-			// queue exactly as it is — skip the shadow computation and
-			// the whole pass. Gated off for EngineHeap, which stays the
-			// frozen pre-scaling reference; the skip is pure control
-			// flow, so both engines still emit identical traces.
-			return
-		}
-		shadow, spare := s.shadowOf(head)
-		kept := s.queue[:1]
-		for _, j := range s.queue[1:] {
-			jb := s.job(j)
-			w := jb.Width
-			req := jb.Policy[s.state(j).attempt]
-			fitsNow := w <= s.freeTotal
-			endsByShadow := s.now+req <= shadow+1e-12
-			fitsSpare := w <= spare
-			if fitsNow && (endsByShadow || fitsSpare) {
-				s.start(j, true)
-				if fitsSpare && !endsByShadow {
-					spare -= w
-				}
-				continue
-			}
-			kept = append(kept, j)
-		}
-		s.queue = kept
 		return
 	}
 }
 
-// shadowOf computes the earliest time the head could start and the
-// capacity spare beyond its need at that moment — queuesim.shadowOf
-// over the pending completions.
-func (s *sim) shadowOf(head int32) (shadow float64, spare int) {
-	if s.cfg.Engine == EngineHeap {
-		return s.shadowSorted(head)
+// backfillEASY is queuesim's backfill pass behind a blocked head: from
+// the head's shadow time, start later jobs that fit now and either end
+// by the shadow or fit into the spare capacity the head will not need.
+// It touches only what can start. The pass is skipped when no queued
+// job fits the free capacity, the shadow is computed at the first job
+// that fits (nothing starts before it, so the shadow comes out as an
+// eager computation would), and the scan stops once the free capacity
+// falls below every queued width. The skip and the early stop are pure
+// control flow; both are gated off for EngineHeap, which keeps the
+// full scan as the differential oracle.
+func (s *sim) backfillEASY() {
+	fast := s.cfg.Engine != EngineHeap
+	if fast && s.freeTotal < s.narrowestQueued() {
+		return
 	}
-	return s.shadowScan(head)
+	q := s.queue
+	i := 1
+	for i < len(q) && int(q[i].width) > s.freeTotal {
+		i++
+	}
+	if i == len(q) {
+		return
+	}
+	shadow, spare := s.shadowOf(int(q[0].width))
+	kept := i
+	for ; i < len(q); i++ {
+		r := q[i]
+		w := int(r.width)
+		fitsNow := w <= s.freeTotal
+		endsByShadow := s.now+r.req <= shadow+1e-12
+		fitsSpare := w <= spare
+		if fitsNow && (endsByShadow || fitsSpare) {
+			s.start(r, true)
+			if fitsSpare && !endsByShadow {
+				spare -= w
+			}
+			if fast && s.freeTotal < s.narrowestQueued() {
+				kept += copy(q[kept:], q[i+1:])
+				break
+			}
+			continue
+		}
+		q[kept] = r
+		kept++
+	}
+	s.queue = q[:kept]
+}
+
+// shadowOf computes the earliest time a head of width need could start
+// and the capacity spare beyond its need at that moment —
+// queuesim.shadowOf over the pending completions.
+func (s *sim) shadowOf(need int) (shadow float64, spare int) {
+	if s.cfg.Engine == EngineHeap {
+		return s.shadowSorted(need)
+	}
+	return s.shadowScan(need)
 }
 
 // shadowSorted is the reference computation: snapshot the pending set,
 // sort it, accumulate until the head fits (EngineHeap only).
-func (s *sim) shadowSorted(head int32) (shadow float64, spare int) {
+func (s *sim) shadowSorted(need int) (shadow float64, spare int) {
 	s.runScratch = s.ec.appendPending(s.runScratch[:0])
 	sort.Sort(&byTimeSeq{ev: s.runScratch})
-	need := s.job(head).Width
 	avail := s.freeTotal
 	for _, r := range s.runScratch {
 		if avail >= need {
@@ -877,10 +946,9 @@ func (s *sim) shadowSorted(head int32) (shadow float64, spare int) {
 // the exact order shadowSorted would, so the result is bit-identical.
 //
 //repro:hotpath
-func (s *sim) shadowScan(head int32) (shadow float64, spare int) {
+func (s *sim) shadowScan(need int) (shadow float64, spare int) {
 	ev := s.ec.appendPending(s.runScratch[:0])
 	s.runScratch = ev
-	need := s.job(head).Width
 	avail := s.freeTotal
 	for k := 0; avail < need; k++ {
 		if k == len(ev) {
@@ -915,11 +983,11 @@ func (s *sim) maybePreempt() {
 	if len(s.queue) == 0 {
 		return
 	}
-	head := s.queue[0]
-	if s.job(head).Width <= s.freeTotal {
+	need := int(s.queue[0].width)
+	if need <= s.freeTotal {
 		return
 	}
-	if !(s.now-s.state(head).submit > s.cfg.PreemptAfter) {
+	if !(s.now-s.state(s.queue[0].job).submit > s.cfg.PreemptAfter) {
 		return
 	}
 	all := s.ec.appendPending(s.preScratch[:0])
@@ -935,7 +1003,7 @@ func (s *sim) maybePreempt() {
 	// order the engine produced.
 	sort.Sort(sort.Reverse(&bySeq{ev: kept}))
 	for _, e := range kept {
-		if s.job(head).Width <= s.freeTotal {
+		if need <= s.freeTotal {
 			break
 		}
 		s.preempt(e.job)
@@ -1002,21 +1070,20 @@ func (s *sim) scheduleConservative() {
 	}
 	kept := s.queue[:0]
 	stalled := false
-	for _, j := range s.queue {
-		w := s.job(j).Width
-		req := s.job(j).Policy[s.state(j).attempt]
-		slot := s.findSlot(w, req)
-		s.reserveSlot(slot, w, req)
+	for _, r := range s.queue {
+		w := int(r.width)
+		slot := s.findSlot(w, r.req)
+		s.reserveSlot(slot, w, r.req)
 		// A completion pending at exactly now counts as free in the
 		// profile but its capacity is only returned when its event
 		// pops, so a slot-0 job must also fit the live free count;
 		// otherwise it keeps its reservation and starts on the
 		// same-instant reschedule that follows the pop.
 		if slot == 0 && w <= s.freeTotal {
-			s.start(j, stalled)
+			s.start(r, stalled)
 		} else {
 			stalled = true
-			kept = append(kept, j)
+			kept = append(kept, r)
 		}
 	}
 	s.queue = kept

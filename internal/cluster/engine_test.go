@@ -3,6 +3,8 @@ package cluster
 import (
 	"math"
 	"testing"
+
+	"repro/internal/dist"
 )
 
 // engineShapes are the two cluster shapes every engine-parity scenario
@@ -97,6 +99,75 @@ func TestEngineParityScenarios(t *testing.T) {
 			compareEngines(t, name, cfg, jobs)
 		}
 	}
+	// The loaded wide-width regime, where the queue is long and its
+	// narrowest job is often wider than the free capacity: the EASY
+	// pass's skip and early stop, which the heap engine does not take,
+	// fire on most passes.
+	for seed := uint64(0); seed < loadedWideSeeds; seed++ {
+		spec, cfg := loadedWideSpec(seed*2654435761+3, 1500)
+		jobs, err := GenerateJobs(spec, 0)
+		if err != nil {
+			t.Fatalf("loaded seed %d: %v", seed, err)
+		}
+		for _, v := range []struct {
+			name    string
+			back    BackfillPolicy
+			preempt float64
+		}{
+			{"loaded-easy", BackfillEASY, 0},
+			{"loaded-easy-preempt", BackfillEASY, 20},
+			{"loaded-conservative", BackfillConservative, 0},
+		} {
+			cfg.Backfill, cfg.PreemptAfter = v.back, v.preempt
+			compareEngines(t, v.name, cfg, jobs)
+		}
+	}
+}
+
+// loadedWideSeeds is how many loaded wide-width workloads the engine
+// and queuesim parity suites run.
+const loadedWideSeeds = 6
+
+// loadedWideSpec is a fleet whose jobs block each other: 16 nodes of 4
+// units, widths 1–16, Weibull(1,0.5) runtimes under a four-attempt
+// reservation sequence, arriving at 1.35 times the capacity in
+// reserved node-time (each attempt reserves its whole reservation;
+// killed attempts free their units early). Tenant 1 carries a quarter
+// of the jobs under a 24-unit quota, so its attempts park in the hold
+// queue and re-enter the run queue on release.
+func loadedWideSpec(seed uint64, jobs int) (WorkloadSpec, Config) {
+	law := dist.MustWeibull(1, 0.5)
+	policy := sweepPolicy(law, 0.5, 0.8, 0.95, 0.999)
+	reserved, prev := 0.0, 0.0
+	for _, r := range policy {
+		reserved += r * law.Survival(prev)
+		prev = r
+	}
+	const nodes, nodeCap, maxWidth, load = 16, 4, 16, 1.35
+	caps := make([]int, nodes)
+	for i := range caps {
+		caps[i] = nodeCap
+	}
+	meanWidth := float64(1+maxWidth) / 2
+	spec := WorkloadSpec{
+		Seed:        seed,
+		Jobs:        jobs,
+		ArrivalRate: load * nodes * nodeCap / (reserved * meanWidth),
+		Classes: []JobClass{
+			{Name: "open", Runtime: law, Weight: 3, MinWidth: 1, MaxWidth: maxWidth, Tenant: 0, Policy: policy},
+			{Name: "quota", Runtime: law, Weight: 1, MinWidth: 1, MaxWidth: maxWidth, Tenant: 1, Policy: policy},
+		},
+	}
+	cfg := Config{
+		Nodes: caps,
+		Tenants: []Tenant{
+			{Name: "open", Budget: math.Inf(1)},
+			{Name: "quota", Budget: math.Inf(1), Quota: 24},
+		},
+		Backfill: BackfillEASY,
+		Model:    costModelForSweep,
+	}
+	return spec, cfg
 }
 
 // TestEngineAllEqualTimes: every completion lands at the same instant,

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -123,49 +124,99 @@ func btoi(b bool) int {
 func TestParityWithQueuesim(t *testing.T) {
 	for seed := uint64(0); seed < parityScenarios; seed++ {
 		qcfg, qjobs := parityWorkload(seed)
-		want, err := queuesim.Simulate(qcfg, qjobs)
+		checkQueuesimParity(t, seed, qcfg, qjobs, nil)
+	}
+	// The loaded wide-width regime of the engine parity suite, one
+	// attempt per job: the EASY pass's skip and early stop fire on most
+	// passes. Scheduling reads only the total free capacity, so the
+	// 16×4 fleet matches queuesim's 64 unit nodes too.
+	for seed := uint64(0); seed < loadedWideSeeds; seed++ {
+		qcfg, qjobs, nodes := loadedWideQueuesim(seed*2654435761 + 5)
+		checkQueuesimParity(t, seed, qcfg, qjobs, nodes)
+	}
+}
+
+// loadedWideQueuesim projects loadedWideSpec's jobs onto queuesim:
+// each job makes one attempt, reserving the first reservation of its
+// sequence that covers its runtime (or the last), and arrivals come
+// at the rate that keeps 0.9 of the 64 units busy. It also returns
+// the fleet's node shape.
+func loadedWideQueuesim(seed uint64) (queuesim.Config, []queuesim.Job, []int) {
+	spec, cfg := loadedWideSpec(seed, 1500)
+	spec.Classes = spec.Classes[:1]
+	law := spec.Classes[0].Runtime
+	meanWidth := float64(spec.Classes[0].MinWidth+spec.Classes[0].MaxWidth) / 2
+	spec.ArrivalRate = 0.9 * float64(cfg.Capacity()) / (law.Mean() * meanWidth)
+	jobs, err := GenerateJobs(spec, 0)
+	if err != nil {
+		panic(err)
+	}
+	out := make([]queuesim.Job, len(jobs))
+	for i, j := range jobs {
+		req := j.Policy[len(j.Policy)-1]
+		for _, r := range j.Policy {
+			if r >= j.Actual {
+				req = r
+				break
+			}
+		}
+		out[i] = queuesim.Job{ID: j.ID, Arrival: j.Arrival, Nodes: j.Width, Requested: req, Actual: j.Actual}
+	}
+	return queuesim.Config{Nodes: cfg.Capacity(), EnableBackfill: true}, out, cfg.Nodes
+}
+
+// checkQueuesimParity simulates one queuesim scenario on unit nodes,
+// on one node carrying the whole capacity and, when extra is non-nil,
+// on the extra node shape, and requires every result field, the
+// summary statistics and the trace invariants to match.
+func checkQueuesimParity(t *testing.T, seed uint64, qcfg queuesim.Config, qjobs []queuesim.Job, extra []int) {
+	t.Helper()
+	want, err := queuesim.Simulate(qcfg, qjobs)
+	if err != nil {
+		t.Fatalf("seed %d: queuesim: %v", seed, err)
+	}
+	backfill := BackfillNone
+	if qcfg.EnableBackfill {
+		backfill = BackfillEASY
+	}
+	type shape struct {
+		label string
+		nodes []int
+	}
+	shapes := []shape{
+		{"unit-nodes", UnitNodes(qcfg.Nodes)},
+		{"one-fat-node", []int{qcfg.Nodes}},
+	}
+	if extra != nil {
+		shapes = append(shapes, shape{fmt.Sprintf("%d-nodes", len(extra)), extra})
+	}
+	for _, shape := range shapes {
+		ccfg := Config{Nodes: shape.nodes, Backfill: backfill}
+		var buf TraceBuffer
+		ccfg.Recorder = &buf
+		got, err := Simulate(ccfg, toClusterJobs(qjobs))
 		if err != nil {
-			t.Fatalf("seed %d: queuesim: %v", seed, err)
+			t.Fatalf("seed %d %s: cluster: %v", seed, shape.label, err)
 		}
-		backfill := BackfillNone
-		if qcfg.EnableBackfill {
-			backfill = BackfillEASY
+		if len(got) != len(want) {
+			t.Fatalf("seed %d %s: %d results, want %d", seed, shape.label, len(got), len(want))
 		}
-		shapes := []struct {
-			label string
-			nodes []int
-		}{
-			{"unit-nodes", UnitNodes(qcfg.Nodes)},
-			{"one-fat-node", []int{qcfg.Nodes}},
+		for i := range want {
+			comparePair(t, shape.label, seed, want[i], got[i])
 		}
-		for _, shape := range shapes {
-			ccfg := Config{Nodes: shape.nodes, Backfill: backfill}
-			var buf TraceBuffer
-			ccfg.Recorder = &buf
-			got, err := Simulate(ccfg, toClusterJobs(qjobs))
-			if err != nil {
-				t.Fatalf("seed %d %s: cluster: %v", seed, shape.label, err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("seed %d %s: %d results, want %d", seed, shape.label, len(got), len(want))
-			}
-			for i := range want {
-				comparePair(t, shape.label, seed, want[i], got[i])
-			}
-			// Summary parity: the embedded stats must match bit-exactly.
-			qs := queuesim.Summarize(qcfg, want)
-			cs := Summarize(ccfg, got)
-			if qs.Jobs != cs.Jobs || qs.Rejected != cs.Rejected ||
-				qs.Backfilled != cs.Backfilled || qs.Killed != cs.Killed {
-				t.Fatalf("seed %d %s: summary counts diverged: %+v vs %+v", seed, shape.label, qs, cs.Stats)
-			}
-			if !sameFloat(qs.MeanWait, cs.MeanWait) || !sameFloat(qs.MaxWait, cs.MaxWait) || !sameFloat(qs.Utilization, cs.Utilization) {
-				t.Fatalf("seed %d %s: summary floats diverged: %+v vs %+v", seed, shape.label, qs, cs.Stats)
-			}
-			// And the trace must satisfy every invariant.
-			if err := CheckTrace(ccfg, buf.Events); err != nil {
-				t.Fatalf("seed %d %s: %v", seed, shape.label, err)
-			}
+		// Summary parity: the embedded stats must match bit-exactly.
+		qs := queuesim.Summarize(qcfg, want)
+		cs := Summarize(ccfg, got)
+		if qs.Jobs != cs.Jobs || qs.Rejected != cs.Rejected ||
+			qs.Backfilled != cs.Backfilled || qs.Killed != cs.Killed {
+			t.Fatalf("seed %d %s: summary counts diverged: %+v vs %+v", seed, shape.label, qs, cs.Stats)
+		}
+		if !sameFloat(qs.MeanWait, cs.MeanWait) || !sameFloat(qs.MaxWait, cs.MaxWait) || !sameFloat(qs.Utilization, cs.Utilization) {
+			t.Fatalf("seed %d %s: summary floats diverged: %+v vs %+v", seed, shape.label, qs, cs.Stats)
+		}
+		// And the trace must satisfy every invariant.
+		if err := CheckTrace(ccfg, buf.Events); err != nil {
+			t.Fatalf("seed %d %s: %v", seed, shape.label, err)
 		}
 	}
 }

@@ -21,6 +21,9 @@
 #      DP package whose verify/fallback switches are process-wide
 #      atomics exercised from concurrent solves, and the serving tier
 #      (service backend/frontend, shard ring, tenant limiter, client).
+#      It runs at GOMAXPROCS 1 and 4 (-cpu 1,4), so contracts that
+#      depend on the core count hold on every host, not just the one
+#      that last ran the gate.
 #   7. loadgen smoke — a one-to-two-second in-process fleet run
 #      (cmd/loadgen -smoke) asserting the sharded serving invariants:
 #      cold misses == unique specs (deterministic routing) and a
@@ -31,9 +34,9 @@
 #      quantile sketch must agree with exact sorted-sample quantiles
 #      within its documented error bound.
 #   9. fuzz smoke — a few seconds of the cluster ledger/backfill/event-
-#      core fuzz targets on top of their committed corpora
-#      (testdata/fuzz), so a freshly broken invariant is found here, not
-#      in a nightly.
+#      core fuzz targets and the distribution-spec parser's fuzz target
+#      on top of their committed corpora (testdata/fuzz), so a freshly
+#      broken invariant is found here, not in a nightly.
 #
 # Usage: scripts/check.sh [--bench] [--compare]
 #
@@ -70,8 +73,8 @@ go run ./cmd/lint -escapes ./...
 echo "== go test ./..."
 go test ./...
 
-echo "== go test -race (concurrency substrate)"
-go test -race ./internal/parallel/... ./internal/simulate/... ./internal/queuesim/... ./internal/cluster/... ./internal/lru/... ./internal/service/... ./internal/core/... ./internal/dp/... ./internal/shard/... ./internal/tenant/... ./client/...
+echo "== go test -race -cpu 1,4 (concurrency substrate)"
+go test -race -cpu 1,4 ./internal/parallel/... ./internal/simulate/... ./internal/queuesim/... ./internal/cluster/... ./internal/lru/... ./internal/service/... ./internal/core/... ./internal/dp/... ./internal/shard/... ./internal/tenant/... ./client/...
 
 echo "== loadgen smoke (sharded serving invariants)"
 go run ./cmd/loadgen -smoke
@@ -79,10 +82,11 @@ go run ./cmd/loadgen -smoke
 echo "== clustersim smoke (sweep determinism + sketch accuracy)"
 go run ./cmd/clustersim -smoke
 
-echo "== fuzz smoke (cluster ledger + backfill + event core)"
+echo "== fuzz smoke (cluster ledger + backfill + event core, distribution parser)"
 go test -run '^$' -fuzz '^FuzzLedger$' -fuzztime 3s ./internal/cluster/
 go test -run '^$' -fuzz '^FuzzBackfill$' -fuzztime 3s ./internal/cluster/
 go test -run '^$' -fuzz '^FuzzEventCore$' -fuzztime 3s ./internal/cluster/
+go test -run '^$' -fuzz '^FuzzParseDistribution$' -fuzztime 3s .
 
 echo "check.sh: all gates passed"
 
